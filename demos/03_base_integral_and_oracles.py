@@ -6,8 +6,9 @@ Everything the audit does rests on integrals of the form
     t(x) = x + a + sqrt(x**2 + 2*a*x).
 
 Route 1 (quad_lhs): substitute t, then u = a/t; the integral becomes a
-finite-interval one with pure power endpoint behavior and is handled by
-adaptive Gauss-Kronrod panels plus analytic endpoint corrections.
+finite-interval one with pure power endpoint behavior.  Those powers are
+the weight of a Gauss-Jacobi rule, which integrates them exactly; the node
+count doubles until two successive rules agree.
 
 Route 2 (proof_series): expand f into its power series and apply the
 closed base-integral formula term by term.  The two routes share no
@@ -33,8 +34,8 @@ for mu, lam, a in [(1.0, 2.0, 1.0), (0.5, 1.5, 2.0), (1.7, 4.7, 0.5), (0.51, 0.5
     res = quad_lhs(IntegralSpec(mu=mu, lam=lam, a=a), unit_kernel())
     print(f"  {mu:4} {lam:5} {a:4} {closed:18.12g} {res.value:18.12g} "
           f"{abs(res.value-closed)/closed:9.2e}")
-print("  (the last row keeps 25% of its mass below u = 1e-12; the analytic")
-print("   endpoint correction supplies it)")
+print("  (the last row keeps 25% of its mass below u = 1e-12; the Gauss-Jacobi")
+print("   weight u**(-0.95) carries it exactly)")
 
 spec = IntegralSpec(mu=0.8, lam=2.5, a=1.5, gamma=1.0, y=0.7)
 tr = transform_integrand(spec)
@@ -61,4 +62,4 @@ for label, sp, choice in cases:
     print(f"  {label:22}: quad={quad.value:.15g} series={series.value:.15g} "
           f"rel diff {abs(quad.value-series.value)/abs(quad.value):.1e}")
     print(f"  {'':22}  quad diagnostics: {quad.n_evals} evals, "
-          f"{quad.subdivisions} subdivisions, err est {quad.abs_err_estimate:.1e}")
+          f"{quad.subdivisions} node doublings, err est {quad.abs_err_estimate:.1e}")

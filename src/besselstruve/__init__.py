@@ -8,7 +8,7 @@ The library has three layers:
   Bessel I_0, I_1 and modified Struve L_0, L_1, and power-series kernels);
 
 * integral oracles -- :mod:`besselstruve.quadrature` (the closed base
-  integral, an exact finite-interval substitution, adaptive Gauss-Kronrod
+  integral, an exact finite-interval substitution, Gauss-Jacobi
   quadrature, and the term-by-term proof-chain series);
 
 * the audit -- :mod:`besselstruve.audit` evaluates each cataloged

@@ -313,7 +313,8 @@ def audit_point(identity_id: str, *, mu: float, lam: float, a: float, y: float,
         if alpha is None:
             raise DomainError(f"identity {identity_id} requires alpha")
         eff_alpha = _require_finite(alpha, "alpha")
-    if lam - mu < MIN_LAM_MINUS_MU:
+    # one rounding of slack: 0.06 - 0.01 is 0.049999... in doubles
+    if lam - mu < MIN_LAM_MINUS_MU - math.ulp(max(abs(lam), abs(mu))):
         raise DomainError(
             f"conditioning rule requires lam - mu >= {MIN_LAM_MINUS_MU}, "
             f"got {lam - mu}"
@@ -332,7 +333,7 @@ def audit_point(identity_id: str, *, mu: float, lam: float, a: float, y: float,
     lhs = lhs_error = None
     try:
         lhs = quad_lhs(spec, kernel, tol)
-    except (DomainError, NonConvergenceError) as exc:
+    except (DomainError, NonConvergenceError, ArithmeticError) as exc:
         lhs_error = str(exc)
 
     derived = derived_error = None
@@ -341,7 +342,7 @@ def audit_point(identity_id: str, *, mu: float, lam: float, a: float, y: float,
         if not derived.converged:
             derived_error = "derived series did not converge within the term cap"
             derived = None
-    except (DomainError, NonConvergenceError) as exc:
+    except (DomainError, NonConvergenceError, ArithmeticError) as exc:
         derived_error = str(exc)
 
     stated = stated_error = None
@@ -350,7 +351,7 @@ def audit_point(identity_id: str, *, mu: float, lam: float, a: float, y: float,
         if not stated.converged:
             stated_error = "stated series did not converge within the term cap"
             stated = None
-    except (DomainError, NonConvergenceError) as exc:
+    except (DomainError, NonConvergenceError, ArithmeticError) as exc:
         stated_error = str(exc)
 
     rel_stated = rel_derived = None

@@ -6,7 +6,7 @@ eval-kernel    S_alpha(z)
 eval-wright    Wright series at z (parameter pairs via repeated --upper/--lower)
 eval-pfq       generalized hypergeometric series at z
 oberhettinger  closed base integral
-quad           adaptive quadrature of one integral
+quad           Gauss-Jacobi quadrature of one integral
 audit          one identity at one parameter point
 sweep          one identity over a grid (built-in default or a JSON grid file)
 
@@ -251,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, required=True)
     _add_common(sp)
 
-    sp = sub.add_parser("quad", help="adaptive quadrature of one integral")
+    sp = sub.add_parser("quad", help="Gauss-Jacobi quadrature of one integral")
     sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--a", type=float, required=True)

@@ -9,10 +9,12 @@ with f an entire power-series kernel and the argument either
 ``gy / t(x)`` (fixed numerator) or ``gy * x / t(x)`` (linear in x), where
 ``gy = gamma * y``.  Two independent evaluation routes are provided:
 
-* :func:`quad_lhs` -- adaptive Gauss-Kronrod quadrature after the exact
+* :func:`quad_lhs` -- Gauss-Jacobi quadrature after the exact
   substitution t = x + a + sqrt(x**2 + 2*a*x), u = a/t, which maps the
   integral to a finite interval with pure power endpoint behavior
-  u**(lam-mu-1) at u -> 0 and (1-u)**(2*mu-1) at u -> 1.
+  u**(lam-mu-1) at u -> 0 and (1-u)**(2*mu-1) at u -> 1.  Those powers
+  are the weight of the Gauss rule, so the endpoint singularities are
+  integrated exactly and only a smooth factor is sampled.
 
 * :func:`proof_series` -- the kernel is expanded into its power series and
   the closed base integral :func:`oberhettinger_closed` is applied term by
@@ -28,6 +30,7 @@ valid for 0 < mu < lam, a > 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,8 +55,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-_ENDPOINT_EPS = 1e-12       # integrate over [eps, 1-eps] plus tail corrections
-_MAX_PANELS = 2000
+_MIN_NODES = 8
+_MAX_NODES = 128            # dense eigh of the Jacobi matrix stays small up to here
 _SERIES_MAX_TERMS = 400
 _LINEAR_ARG_RADIUS_SAFETY = 0.9
 _KERNEL_EVAL_TOL = 1e-13    # kernel series truncation inside the quadrature
@@ -107,7 +110,11 @@ class IntegralSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Adaptive quadrature result with a conservative error estimate."""
+    """Quadrature result with a conservative error estimate.
+
+    ``n_evals`` counts the nodes evaluated over all Gauss rules tried and
+    ``subdivisions`` the number of times the node count was doubled.
+    """
 
     value: float
     abs_err_estimate: float
@@ -187,131 +194,86 @@ def transform_integrand(spec: IntegralSpec) -> TransformedIntegrand:
     )
 
 
-# 15-point Kronrod / 7-point Gauss pair (QUADPACK dqk15 constants).
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
+@functools.lru_cache(maxsize=128)
+def _gauss_jacobi(n: int, p: float, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-node (n >= 2) Gauss rule on [0, 1] for the weight u**p * (1-u)**q.
 
-
-def _build_gk15():
-    nodes, wk, wg = [], [], []
-    for i in range(7):  # negative half, descending |x|
-        nodes.append(-_XGK[i])
-        wk.append(_WGK[i])
-        wg.append(_WG[(i - 1) // 2] if i % 2 == 1 else 0.0)
-    for i in range(7, -1, -1):  # zero and positive half
-        nodes.append(_XGK[i])
-        wk.append(_WGK[i])
-        wg.append(_WG[(i - 1) // 2] if i % 2 == 1 else 0.0)
-    return np.array(nodes), np.array(wk), np.array(wg)
-
-
-_NODES, _WK, _WGF = _build_gk15()
-
-
-def _gk15_panel(f, lo: float, hi: float):
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    fx = f(mid + half * _NODES)
-    vk = half * float(_WK @ fx)
-    vg = half * float(_WGF @ fx)
-    resabs = half * float(_WK @ np.abs(fx))
-    return vk, abs(vk - vg), resabs
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials with alpha = q, beta = p on [-1, 1], mapped by
+    u = (1+x)/2; the weights are the squared first eigenvector components
+    times the zeroth moment B(p+1, q+1).  The k = 0 diagonal and k = 1
+    off-diagonal entries are taken in cancelled form, because the generic
+    formulas divide 0/0 at alpha + beta = 0 and alpha + beta = -1.
+    The returned arrays are shared between callers and read-only.
+    """
+    al, be = q, p
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + al + be
+    diag = np.concatenate((
+        [(be - al) / (al + be + 2.0)],
+        (be * be - al * al) / (s * (s + 2.0)),
+    ))
+    k, s = k[1:], s[1:]
+    off2 = np.concatenate((
+        [4.0 * (1.0 + al) * (1.0 + be) / ((2.0 + al + be) ** 2 * (3.0 + al + be))],
+        4.0 * k * (k + al) * (k + be) * (k + al + be)
+        / (s * s * (s + 1.0) * (s - 1.0)),
+    ))
+    off = np.sqrt(off2)
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    moment0 = math.exp(math.lgamma(p + 1.0) + math.lgamma(q + 1.0)
+                       - math.lgamma(p + q + 2.0))
+    nodes = 0.5 * (1.0 + x)
+    weights = moment0 * vec[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def quad_lhs(spec: IntegralSpec, kernel: PowerSeriesKernel, tol: float = 1e-10,
-             max_panels: int = _MAX_PANELS) -> QuadResult:
-    """Adaptive quadrature of the transformed integral.
+             max_nodes: int = _MAX_NODES) -> QuadResult:
+    """Gauss-Jacobi quadrature of the transformed integral.
 
-    Integration runs over [eps, 1-eps] with eps = 1e-12; the clipped mass
-    at each endpoint is restored analytically from the documented power-law
-    exponents, so mildly singular endpoints (e.g. lam - mu close to 0) do
-    not poison the result.  Panels are bisected worst-error-first, with the
-    embedded Gauss/Kronrod difference as the (conservative) local error,
-    until the summed error falls below ``tol`` relative to the integral.
-    Exhausting ``max_panels`` raises :class:`NonConvergenceError`.
+    The endpoint powers u**(lam-mu-1) * (1-u)**(2*mu-1) are the weight of
+    the rule (:func:`_gauss_jacobi`), so only the smooth factor
+    (1+u) * f(kernel_argument(u)) is sampled and the endpoint singularities
+    are integrated exactly.  Starting from 8 nodes, n doubles until the
+    n-node and 2n-node results agree to ``tol`` relative to the latter,
+    which is returned; their difference plus a rounding floor is the error
+    estimate.  Needing more than ``max_nodes`` nodes raises
+    :class:`NonConvergenceError`.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     tr = transform_integrand(spec)
+    p, q = tr.u_exponent, tr.one_minus_u_exponent
 
-    def f(u: np.ndarray) -> np.ndarray:
-        return tr.weight(u) * kernel.evaluate_many(tr.kernel_argument(u),
-                                                   tol=_KERNEL_EVAL_TOL)
+    def rule(n: int) -> tuple[float, float]:
+        u, w = _gauss_jacobi(n, p, q)
+        wg = w * (1.0 + u) * kernel.evaluate_many(tr.kernel_argument(u),
+                                                  tol=_KERNEL_EVAL_TOL)
+        return math.fsum(wg), math.fsum(np.abs(wg))
 
-    eps = _ENDPOINT_EPS
-    seeds = (eps, 0.1, 0.5, 0.9, 1.0 - eps)
-    panels = []
-    n_evals = 0
-    for lo, hi in zip(seeds[:-1], seeds[1:]):
-        vk, err, resabs = _gk15_panel(f, lo, hi)
-        panels.append((lo, hi, vk, err, resabs))
-        n_evals += 15
-
-    # analytic endpoint corrections: near u=0 the integrand is
-    # u**p * g(u) with g smooth, so the clipped piece is g(0)*eps**(p+1)/(p+1)
-    p = tr.u_exponent
-    q = tr.one_minus_u_exponent
-    f_left = float(kernel.evaluate_many(
-        np.array([tr.kernel_argument(0.0)]), tol=_KERNEL_EVAL_TOL)[0])
-    f_right = float(kernel.evaluate_many(
-        np.array([tr.kernel_argument(1.0)]), tol=_KERNEL_EVAL_TOL)[0])
-    corr_left = f_left * eps ** (p + 1.0) / (p + 1.0)
-    corr_right = 2.0 * f_right * eps ** (q + 1.0) / (q + 1.0)
-    corr_err = (abs(corr_left) + abs(corr_right)) * 100.0 * eps
-
-    subdivisions = 0
+    n = _MIN_NODES
+    coarse, _ = rule(n)
+    n_evals, subdivisions, diff = n, 0, math.inf
     while True:
-        total = math.fsum(pn[2] for pn in panels)
-        total_err = math.fsum(pn[3] for pn in panels)
-        resabs_sum = math.fsum(pn[4] for pn in panels)
-        if total_err <= tol * max(abs(total + corr_left + corr_right), _TINY):
-            break
-        if len(panels) >= max_panels:
+        if 2 * n > max_nodes:
             raise NonConvergenceError(
-                f"quadrature budget exhausted: {len(panels)} panels, "
-                f"err estimate {total_err:.3e} above tol"
+                f"quadrature budget exhausted: {n} nodes, "
+                f"last change {diff:.3e} above tol"
             )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        lo, hi = panels[worst][0], panels[worst][1]
-        midpt = 0.5 * (lo + hi)
-        if hi - lo < 1e-15 * max(1.0, abs(midpt)):
-            # cannot refine further in double precision; accept this panel
-            pn = panels[worst]
-            panels[worst] = (pn[0], pn[1], pn[2], 0.0, pn[4])
-            continue
-        left = _gk15_panel(f, lo, midpt)
-        right = _gk15_panel(f, midpt, hi)
-        n_evals += 30
+        n *= 2
+        fine, abs_sum = rule(n)
+        n_evals += n
         subdivisions += 1
-        panels[worst] = (lo, midpt) + left
-        panels.append((midpt, hi) + right)
+        diff = abs(coarse - fine)
+        if diff <= tol * max(abs(fine), _TINY):
+            break
+        coarse = fine
 
-    value = tr.prefactor * (total + corr_left + corr_right)
-    abs_err = tr.prefactor * (total_err + corr_err + 5e-15 * resabs_sum)
+    value = tr.prefactor * fine
+    abs_err = tr.prefactor * (diff + 5e-15 * abs_sum)
     return QuadResult(value, abs_err, n_evals, subdivisions)
 
 

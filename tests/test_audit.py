@@ -169,7 +169,22 @@ class TestAuditPoint:
         with pytest.raises(DomainError):
             audit_point("T3", mu=1.0, lam=1.01, a=1.0, y=0.1)
         with pytest.raises(DomainError):
+            audit_point("T3", mu=0.01, lam=0.059, a=1.0, y=0.5)
+        with pytest.raises(DomainError):
             audit_point("T2", mu=1.0, lam=2.0, a=1.0, y=1.9, alpha=0.0)
+
+    def test_conditioning_floor_allows_input_rounding(self):
+        # 0.06 - 0.01 rounds to 0.049999... in doubles
+        rec = audit_point("T3", mu=0.01, lam=0.06, a=1.0, y=0.5)
+        assert rec.verdict == VERIFIED
+
+    def test_overflow_captured_in_record(self):
+        # a**(mu-lam-m) overflows inside the derived series at a = 0.01
+        rec = audit_point("T3", mu=1.0, lam=2.0, a=0.01, y=1.0)
+        assert rec.verdict == INCONCLUSIVE
+        assert rec.rhs_derived is None
+        assert rec.rhs_derived_error
+        assert record_invariant_ok(rec)
 
     def test_determinism(self):
         kw = dict(mu=0.8, lam=2.1, a=1.5, y=0.4, alpha=0.5)

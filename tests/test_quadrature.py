@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from besselstruve import (
     ArgForm,
@@ -17,6 +17,7 @@ from besselstruve import (
     transform_integrand,
     unit_kernel,
 )
+from besselstruve.quadrature import _gauss_jacobi
 
 # frozen extended-precision anchors: raw x-domain integrals summed to 50+
 # digits with tanh-sinh quadrature, independent of the u-substitution here
@@ -29,6 +30,9 @@ BASE_GRID = [(mu, mu + dl, a)
              for mu in (0.5, 1.0, 1.7)
              for dl in (0.5, 1.5, 3.0)
              for a in (0.5, 1.0, 2.0)]
+# lam + mu = 1 (Jacobi alpha + beta = -1), the second with a (1-u)**(-0.95)
+# right endpoint
+BASE_EDGE_CASES = [(0.3, 0.7, 1.3), (0.025, 0.975, 1.3)]
 
 
 class TestOberhettingerClosed:
@@ -105,6 +109,24 @@ class TestTransformIntegrand:
         assert tr.prefactor == pytest.approx(2.0 ** (-0.5) * 2.0 ** (-1.0), rel=1e-15)
 
 
+class TestGaussJacobiRule:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("p, q", [(-0.95, -0.95), (-0.3, -0.7), (0.8, 1.8)])
+    def test_integrates_monomials_exactly(self, n, p, q):
+        # (-0.3, -0.7) is the alpha + beta = -1 edge of the Jacobi matrix
+        u, w = _gauss_jacobi(n, p, q)
+        for k in range(2 * n):
+            exact = special.beta(p + k + 1.0, q + 1.0)
+            assert float(w @ u ** k) == pytest.approx(exact, rel=1e-13), k
+
+    def test_rule_is_read_only(self):
+        u, w = _gauss_jacobi(8, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            u[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+
 class TestQuadLhs:
     def test_unit_kernel_reduces_to_base(self):
         res = quad_lhs(IntegralSpec(mu=1.0, lam=2.0, a=1.0), unit_kernel())
@@ -112,7 +134,7 @@ class TestQuadLhs:
         assert res.n_evals > 0
 
     def test_base_grid_against_closed_form(self):
-        for mu, lam, a in BASE_GRID:
+        for mu, lam, a in BASE_GRID + BASE_EDGE_CASES:
             closed = oberhettinger_closed(mu, lam, a)
             res = quad_lhs(IntegralSpec(mu=mu, lam=lam, a=a), unit_kernel())
             assert res.value == pytest.approx(closed, rel=1e-9), (mu, lam, a)
@@ -184,13 +206,18 @@ class TestQuadLhs:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_budget_exhaustion_raises(self):
-        spec = IntegralSpec(mu=0.51, lam=0.56, a=1.0)  # u**(-0.95) endpoint
-        with pytest.raises(NonConvergenceError):
-            quad_lhs(spec, unit_kernel(), tol=1e-10, max_panels=6)
+        # exp(40*u) is far from a low-degree polynomial on [0, 1]: the
+        # 32- and 64-node rules are the first to agree, so a 32-node
+        # budget runs out
+        spec = IntegralSpec(mu=1.0, lam=2.5, a=1.0, gamma=1.0, y=40.0)
+        with pytest.raises(NonConvergenceError, match="budget exhausted"):
+            quad_lhs(spec, as_power_series(KernelChoice.EXP), tol=1e-10,
+                     max_nodes=32)
 
     def test_small_lam_minus_mu_tail_correction(self):
-        # 25% of the mass sits below u = 1e-12 here; the analytic tail
-        # correction has to supply it
+        # 25% of the mass sits below u = 1e-12 here; the u**(-0.95) factor
+        # is the weight of the Gauss-Jacobi rule, which carries that
+        # singular mass exactly, with no tail correction
         mu, lam, a = 0.51, 0.56, 1.0
         closed = oberhettinger_closed(mu, lam, a)
         res = quad_lhs(IntegralSpec(mu=mu, lam=lam, a=a), unit_kernel())
