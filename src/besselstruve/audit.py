@@ -334,7 +334,7 @@ def audit_point(identity_id: str, *, mu: float, lam: float, a: float, y: float,
     try:
         lhs = quad_lhs(spec, kernel, tol)
     except (DomainError, NonConvergenceError, ArithmeticError) as exc:
-        lhs_error = str(exc)
+        lhs_error = f"quadrature: {type(exc).__name__}: {exc}"
 
     derived = derived_error = None
     try:
@@ -343,7 +343,7 @@ def audit_point(identity_id: str, *, mu: float, lam: float, a: float, y: float,
             derived_error = "derived series did not converge within the term cap"
             derived = None
     except (DomainError, NonConvergenceError, ArithmeticError) as exc:
-        derived_error = str(exc)
+        derived_error = f"derived series: {type(exc).__name__}: {exc}"
 
     stated = stated_error = None
     try:
@@ -352,7 +352,7 @@ def audit_point(identity_id: str, *, mu: float, lam: float, a: float, y: float,
             stated_error = "stated series did not converge within the term cap"
             stated = None
     except (DomainError, NonConvergenceError, ArithmeticError) as exc:
-        stated_error = str(exc)
+        stated_error = f"stated form: {type(exc).__name__}: {exc}"
 
     rel_stated = rel_derived = None
     if lhs is not None:

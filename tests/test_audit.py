@@ -184,6 +184,7 @@ class TestAuditPoint:
         assert rec.verdict == INCONCLUSIVE
         assert rec.rhs_derived is None
         assert rec.rhs_derived_error
+        assert "OverflowError" in rec.rhs_derived_error
         assert record_invariant_ok(rec)
 
     def test_determinism(self):

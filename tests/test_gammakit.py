@@ -76,6 +76,9 @@ class TestGamma:
     def test_overflow_error(self):
         with pytest.raises(GammaOverflowError):
             gamma(GAMMA_OVERFLOW_X + 1.0)
+        for x in (1e-310, -1e-310):
+            with pytest.raises(GammaOverflowError):
+                gamma(x)
         # just below the documented threshold still evaluates
         assert math.isfinite(gamma(GAMMA_OVERFLOW_X - 0.01))
 
@@ -107,7 +110,7 @@ class TestReciprocalGamma:
         assert reciprocal_gamma(2.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_total_no_error(self):
-        for x in (-200.5, -0.5, 1e-8, 5.0, 500.0, 1e6):
+        for x in (-200.5, -0.5, -1e-310, 1e-310, 1e-8, 5.0, 500.0, 1e6):
             reciprocal_gamma(x)  # must not raise
 
     def test_product_with_gamma_is_one(self):
@@ -137,6 +140,41 @@ class TestSignedLogGamma:
     def test_pole_raises(self):
         with pytest.raises(PoleError):
             signed_log_gamma(-4.0)
+
+
+class TestMpmathReference:
+    """The primitives against 40-digit mpmath, which shares no code with the
+    stdlib gamma they are built on."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        """(x, gamma(x) as a 40-digit mpf, log|gamma(x)| as a float)."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20161)
+        positive = np.concatenate([np.geomspace(1e-3, 170.0, 200),
+                                   rng.uniform(1e-3, 170.0, 1300)])
+        negative = rng.uniform(-30.0, 0.0, 500)
+        out = []
+        with mpmath.workdps(40):
+            for x in map(float, np.concatenate([positive, negative])):
+                ref = mpmath.gamma(x)
+                out.append((x, ref, float(mpmath.log(abs(ref)))))
+        return out
+
+    def test_gamma(self, samples):
+        for x, ref, _ in samples:
+            assert abs(gamma(x) - ref) <= 1e-14 * abs(ref), x
+
+    def test_log_gamma(self, samples):
+        for x, _, lref in samples:
+            if x > 0.0:
+                assert abs(log_gamma(x) - lref) <= 1e-14 * max(1.0, abs(lref)), x
+
+    def test_signed_log_gamma(self, samples):
+        for x, ref, lref in samples:
+            lg, sign = signed_log_gamma(x)
+            assert sign == (1.0 if ref > 0 else -1.0), x
+            assert abs(lg - lref) <= 1e-14 * max(1.0, abs(lref)), x
 
 
 class TestPochhammer:
